@@ -3,7 +3,7 @@
 //! Five per-rank compute settings must be uniform across a world before
 //! any engine is built: the likelihood-kernel backend, the subtree-repeat
 //! compression setting, the collective reduction mode, the intra-rank
-//! thread count, and the gradient-driven BLO mode. Each is a small
+//! thread count, and the full-tree gradient mode. Each is a small
 //! totally-ordered capability (a higher level is a superset of a lower
 //! one), so heterogeneous worlds agree by everyone adopting the minimum
 //! advertised level — the same protocol MPI codes use for feature

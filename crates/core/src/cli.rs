@@ -84,11 +84,11 @@ pub struct CliConfig {
     /// minimum; resolves to 1 in the in-process world, where the ranks
     /// already multiplex one machine).
     pub threads: ThreadsChoice,
-    /// Gradient-driven branch-length optimization: `on` computes every
-    /// edge's analytic first/second lnL derivative in one full-tree sweep
-    /// (one collective per smoothing pass), `off` seeds each edge with its
-    /// own reduction, `auto` negotiates (resolves to `on` when all ranks
-    /// can). Bitwise result-neutral either way.
+    /// Full-tree gradient route: `on` computes every edge's analytic
+    /// first/second lnL derivative in one sweep with one collective, `off`
+    /// with one reduction per edge, `auto` negotiates (resolves to `on`
+    /// when all ranks can). Branch smoothing is per-edge and does not use
+    /// it; bitwise result-neutral either way.
     pub gradient: GradientChoice,
     /// Pack small partitions into cache-sized kernel batches (`on`, the
     /// default) or run one dispatch per partition (`off`).

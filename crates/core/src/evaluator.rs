@@ -11,8 +11,8 @@ use exa_phylo::model::gtr::NUM_FREE_RATES;
 use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::{EdgeId, Tree};
 use exa_search::evaluator::{
-    apply_global_params, per_edge_full_gradient, BranchMode, CommFailurePanic, Evaluator,
-    FullGradient, GlobalState,
+    apply_global_params, per_edge_full_gradient, record_gradient_sweep, BranchMode,
+    CommFailurePanic, Evaluator, FullGradient, GlobalState,
 };
 
 /// Evaluator back-end for one de-centralized rank.
@@ -35,10 +35,11 @@ pub struct DecentralizedEvaluator {
     /// pre-summed f64s, so the reduced bits are invariant under the rank
     /// count and the data split (the elastic-resize prerequisite).
     reduce: ReduceKind,
-    /// Negotiated full-tree gradient mode. Under `On` the smoothing pass's
-    /// seed derivatives come from one analytic sweep + one fat allreduce
-    /// instead of `n_edges` per-edge collectives (bitwise-identical values
-    /// either way).
+    /// Negotiated full-tree gradient mode. Under `On`,
+    /// [`Evaluator::full_gradient`] runs one analytic sweep + one fat
+    /// allreduce instead of `n_edges` per-edge collectives
+    /// (bitwise-identical values either way). Branch smoothing does not
+    /// call it.
     gradient: GradientMode,
 }
 
@@ -464,6 +465,7 @@ impl Evaluator for DecentralizedEvaluator {
             }
         };
         self.after_collective();
+        record_gradient_sweep();
         let d1 = (0..n_edges)
             .map(|e| buf[e * p..(e + 1) * p].to_vec())
             .collect();

@@ -140,12 +140,13 @@ pub struct InferenceConfig {
     pub threads: ThreadsChoice,
     /// Test hook: force a thread count per rank, bypassing negotiation.
     pub threads_override: Option<Vec<ThreadCount>>,
-    /// Gradient-driven branch-length optimization (`--gradient`). `On`
-    /// computes every edge's seed derivatives in one analytic full-tree
-    /// sweep ending in a single fat collective; `Off` keeps the per-edge
-    /// derivative collectives. Both produce bitwise-identical trajectories
-    /// — only the collective call sequence differs — so `Auto` negotiates
-    /// the minimum capability across the world to keep it uniform.
+    /// Full-tree gradient route (`--gradient`). `On` makes
+    /// `Evaluator::full_gradient` compute every edge's derivatives in one
+    /// analytic sweep ending in a single fat collective; `Off` makes it
+    /// walk the per-edge derivative collectives. Branch smoothing is
+    /// per-edge and never calls it, so the search trajectory is identical
+    /// either way; `Auto` negotiates the minimum capability across the
+    /// world to keep it uniform.
     pub gradient: GradientChoice,
     /// Test hook: force a gradient mode per rank, bypassing negotiation.
     /// Mixing modes desynchronizes the collective call sequence and trips

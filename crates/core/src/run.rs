@@ -287,10 +287,10 @@ pub struct RunConfig {
     pub threads: ThreadsChoice,
     /// Test hook: force a thread count per rank, bypassing negotiation.
     pub threads_override: Option<Vec<ThreadCount>>,
-    /// Gradient-driven branch-length optimization: compute every edge's
-    /// analytic `dlnL/dt` in one full-tree sweep with a single collective
-    /// per smoothing pass instead of per-edge seed reductions. Bitwise
-    /// result-neutral; `Auto` negotiates the world minimum.
+    /// Full-tree gradient route: `On` computes every edge's analytic
+    /// `dlnL/dt` in one sweep with a single collective instead of one
+    /// reduction per edge. Branch smoothing is per-edge and does not use
+    /// it. Bitwise result-neutral; `Auto` negotiates the world minimum.
     pub gradient: GradientChoice,
     /// Test hook: force a gradient mode per rank, bypassing negotiation.
     /// Mixing modes desynchronizes the collective sequence and trips the

@@ -1,13 +1,14 @@
-//! Chaos harness for `--gradient`: gradient-driven branch-length
-//! optimization replaces the per-edge seed collectives of every smoothing
-//! pass with one full-tree derivative sweep and a single fat reduction —
-//! and must not move a bit of the result. Under `--reduce reproducible`
-//! the lnL trajectory must be **bitwise** identical between `--gradient
-//! on` and `--gradient off`, across rank counts (1 → 2 → 8), worker-pool
-//! widths (1 → 2 → 8) and both execution schemes. A world with mixed
-//! gradient modes runs *different collective sequences* — the sentinel
-//! must catch it at its first fingerprint sync, before the desync can
-//! produce garbage or a deadlock.
+//! Chaos harness for `--gradient`: the mode selects how
+//! `Evaluator::full_gradient` reduces (one full-tree sweep and a single
+//! fat reduction, or one reduction per edge) and must not move a bit of
+//! the result. Branch smoothing is per-edge Gauss–Seidel under either
+//! mode. Under `--reduce reproducible` the lnL trajectory must be
+//! **bitwise** identical between `--gradient on` and `--gradient off`,
+//! across rank counts (1 → 2 → 8), worker-pool widths (1 → 2 → 8) and
+//! both execution schemes. A world with mixed gradient modes would run
+//! *different collective sequences* on any `full_gradient` call — the
+//! sentinel must catch it at its first fingerprint sync, before the
+//! desync can produce garbage or a deadlock.
 //!
 //! Γ only, reproducible only: the bitwise claim needs rank-count-invariant
 //! sums (a fast-mode trajectory is a function of the world size by
@@ -96,11 +97,8 @@ impl Drop for Fixture {
 #[test]
 fn decentralized_trajectory_bitwise_invariant_to_gradient_mode() {
     // The satellite matrix: rank counts × worker-pool widths, each run
-    // with gradient BLO on and off. Under reproducible reductions every
-    // one of these trajectories must be the same bit pattern — the sweep
-    // computes the same Newton seeds the per-edge collectives would, and
-    // the fat reduction bins per (derivative, edge, partition) slot
-    // exactly as the per-edge reductions bin per partition.
+    // with the gradient mode on and off. Under reproducible reductions
+    // every one of these trajectories must be the same bit pattern.
     let fx = Fixture::new("matrix");
     let reference = fx.trajectory(
         fx.config(1, 1, Scheme::Decentralized, GradientChoice::Off),
@@ -139,12 +137,9 @@ fn decentralized_trajectory_bitwise_invariant_to_gradient_mode() {
 #[test]
 fn forkjoin_final_lnl_bitwise_invariant_to_gradient_mode() {
     // Same invariant on the master/worker scheme, pinned at the final lnL
-    // (fork-join writes no per-iteration heartbeat file). The fork-join
-    // master evaluates gradients through the worker pool's fat reduction,
-    // so this also crosses the scheme boundary: every bit pattern must
-    // match the de-centralized reference above's final state — which
-    // `schemes_agree_bitwise_under_reproducible_reduce` already pins, so
-    // here the reference is the fork-join per-edge run itself.
+    // (fork-join writes no per-iteration heartbeat file). The reference
+    // is the fork-join `--gradient off` run itself; cross-scheme equality
+    // is pinned by `schemes_agree_bitwise_under_reproducible_reduce`.
     let fx = Fixture::new("forkjoin");
     let reference = fx
         .config(1, 1, Scheme::ForkJoin, GradientChoice::Off)
@@ -175,13 +170,13 @@ fn forkjoin_final_lnl_bitwise_invariant_to_gradient_mode() {
 
 #[test]
 fn mixed_gradient_override_trips_sentinel_at_first_sync() {
-    // A mixed world is worse than a mixed thread table: the rank running
-    // gradient BLO issues one fat collective per smoothing pass where the
-    // per-edge rank issues one per edge, so the collective *sequences*
-    // desynchronize. The gradient mode is folded into the backend
+    // A mixed world is worse than a mixed thread table: on any
+    // `full_gradient` call the `on` rank issues one fat collective where
+    // the `off` rank issues one per edge, so the collective *sequences*
+    // would desynchronize. The gradient mode is folded into the backend
     // fingerprint, so the sentinel's first sync — which happens at the
-    // initial evaluation, before any branch smoothing — must refuse the
-    // world before the sequences can drift.
+    // initial evaluation, before the search starts — must refuse the
+    // world.
     let fx = Fixture::new("mixed");
     let err = fx
         .config(4, 1, Scheme::Decentralized, GradientChoice::Auto)

@@ -74,10 +74,10 @@ pub struct ForkJoinConfig {
     /// Pack small partitions into cache-sized kernel batches (bitwise
     /// result-neutral; purely a dispatch-overhead optimization).
     pub batch: bool,
-    /// Resolved gradient-BLO mode, uniform across the ranks (the master's
-    /// command stream drives the workers, so no negotiation). `On` replaces
-    /// the per-edge seed collectives of each smoothing pass with one
-    /// full-tree sweep + one fat reduction; bitwise result-neutral.
+    /// Resolved full-tree gradient mode, uniform across the ranks (the
+    /// master's command stream drives the workers, so no negotiation). `On`
+    /// serves `Evaluator::full_gradient` with one sweep + one fat reduction
+    /// instead of per-edge reductions; branch smoothing does not call it.
     pub gradient: GradientMode,
 }
 

@@ -16,7 +16,8 @@ use exa_phylo::model::rates::RateModelKind;
 use exa_phylo::tree::{EdgeId, Tree};
 use exa_phylo::GradientMode;
 use exa_search::evaluator::{
-    apply_global_params, per_edge_full_gradient, BranchMode, Evaluator, FullGradient, GlobalState,
+    apply_global_params, per_edge_full_gradient, record_gradient_sweep, BranchMode, Evaluator,
+    FullGradient, GlobalState,
 };
 
 /// Evaluator back-end for the fork-join master (rank 0).
@@ -329,6 +330,7 @@ impl Evaluator for ForkJoinEvaluator {
                     .expect("reduce failed")
             }
         };
+        record_gradient_sweep();
         let mut d1 = Vec::with_capacity(plan.n_edges);
         let mut d2 = Vec::with_capacity(plan.n_edges);
         for e in 0..plan.n_edges {

@@ -28,7 +28,7 @@ fn single_rank_forkjoin_works() {
 fn worker_count_does_not_change_result() {
     // Under `--reduce reproducible` the guarantee is exact: every summed
     // collective is rank-count-invariant, so the whole search trajectory
-    // (including the gradient-seeded smoothing passes) replays bitwise.
+    // (including the branch-smoothing passes) replays bitwise.
     let w = workloads::partitioned(6, 2, 60, 5);
     let mut lnls = Vec::new();
     for ranks in [1usize, 2, 3] {
@@ -47,7 +47,7 @@ fn worker_count_does_not_change_result() {
 fn worker_count_is_benign_under_fast_reduce() {
     // Fast reductions are only approximately rank-count-invariant (the
     // summation tree depends on the world size), and the branch-length
-    // smoother's seeded Newton steps can amplify those last-bit differences
+    // smoother's Newton steps can amplify those last-bit differences
     // across convergence boundaries. The searches must still agree to well
     // within biological significance.
     let w = workloads::partitioned(6, 2, 60, 5);

@@ -2,20 +2,21 @@
 //!
 //! The gradient sweep (see [`Engine::edge_gradient`](super::Engine::edge_gradient))
 //! computes `dlnL/dt` (and curvature) for **every** edge in one post-order +
-//! pre-order pass, so a branch-length-optimization pass needs a single fat
+//! pre-order pass, so the all-edge derivative table needs a single fat
 //! collective instead of one small derivative allreduce per edge (Ji et al.,
-//! "Gradients do grow on trees"). Whether BLO is driven from the sweep or
-//! from the historical per-edge Newton loop is a run-wide setting: both
-//! produce bitwise-identical branch lengths and likelihoods, but the
-//! *collective call sequence* differs, so mixed worlds would deadlock. The
-//! setting is therefore negotiated exactly like the kernel backend and
-//! site-repeat compression (one-byte capability allgather, minimum wins) and
-//! folded into the replica sentinel's backend fingerprint, which catches a
-//! forced mixed world at the first sync.
+//! "Gradients do grow on trees"). Branch smoothing does not use it: it is
+//! per-edge Gauss–Seidel Newton, which measured faster end to end. Whether
+//! the table comes from the sweep or from the per-edge route is a run-wide
+//! setting: both produce bitwise-identical values, but the *collective call
+//! sequence* of a `full_gradient` call differs, so mixed worlds would
+//! deadlock. The setting is therefore negotiated exactly like the kernel
+//! backend and site-repeat compression (one-byte capability allgather,
+//! minimum wins) and folded into the replica sentinel's backend
+//! fingerprint, which catches a forced mixed world at the first sync.
 
 use serde::{Deserialize, Serialize};
 
-/// Whether branch-length optimization is driven by the one-pass full-tree
+/// Whether the all-edge derivative table comes from the one-pass full-tree
 /// gradient sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GradientMode {
@@ -59,13 +60,13 @@ impl std::fmt::Display for GradientMode {
     }
 }
 
-/// A gradient-BLO policy, as requested on the command line or via the
-/// `EXAML_GRADIENT` environment variable.
+/// A full-tree gradient policy, as requested on the command line or via
+/// the `EXAML_GRADIENT` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GradientChoice {
-    /// Force the gradient-driven BLO pass.
+    /// Force the one-pass sweep with one fat collective.
     On,
-    /// Force the historical per-edge Newton loop.
+    /// Force the per-edge derivative route.
     Off,
     /// Enable unless some rank opts out (requires negotiation in multi-rank
     /// runs; locally resolves to on — the sweep is pure software).

@@ -149,12 +149,20 @@ impl std::fmt::Display for ThreadsChoice {
 
 /// A borrowed task function with its lifetime erased. Sound because
 /// [`WorkerPool::run`] does not return until every claimed task completed,
-/// so the erased borrow strictly outlives all uses.
+/// and each job has its own cursor, so a worker that picked up a job late
+/// finds that job's cursor exhausted and never calls the erased borrow
+/// after `run` returned.
 type Job = &'static (dyn Fn(usize) + Sync);
 
 struct PoolState {
     job: Option<Job>,
     n_tasks: usize,
+    /// The published job's work-claiming cursor: each task index is
+    /// claimed by exactly one thread via `fetch_add`. Fresh per job — a
+    /// shared cursor reset by the next job would hand a late worker of the
+    /// previous job an index of the new one, to run with the previous
+    /// (already returned) task function.
+    cursor: Arc<AtomicUsize>,
     /// Tasks published but not yet completed. Kept under the mutex (not an
     /// atomic) so the caller's completion wait cannot miss a wakeup.
     pending: usize,
@@ -170,13 +178,10 @@ struct PoolShared {
     state: Mutex<PoolState>,
     work_ready: Condvar,
     job_done: Condvar,
-    /// Work-claiming cursor: each task index is claimed by exactly one
-    /// thread via `fetch_add`.
-    cursor: AtomicUsize,
 }
 
 /// Persistent intra-rank worker pool: `threads - 1` spawned workers plus
-/// the calling thread all claim task indices from a shared cursor.
+/// the calling thread all claim task indices from the job's cursor.
 pub struct WorkerPool {
     threads: usize,
     shared: Arc<PoolShared>,
@@ -192,6 +197,7 @@ impl WorkerPool {
             state: Mutex::new(PoolState {
                 job: None,
                 n_tasks: 0,
+                cursor: Arc::new(AtomicUsize::new(0)),
                 pending: 0,
                 epoch: 0,
                 shutdown: false,
@@ -199,7 +205,6 @@ impl WorkerPool {
             }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
-            cursor: AtomicUsize::new(0),
         });
         let handles = (1..threads)
             .map(|_| {
@@ -237,17 +242,18 @@ impl WorkerPool {
         let job: Job = unsafe {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
         };
+        let cursor = Arc::new(AtomicUsize::new(0));
         {
             let mut st = self.shared.state.lock().unwrap();
             st.job = Some(job);
             st.n_tasks = n_tasks;
+            st.cursor = Arc::clone(&cursor);
             st.pending = n_tasks;
             st.epoch += 1;
-            self.shared.cursor.store(0, Ordering::SeqCst);
         }
         self.shared.work_ready.notify_all();
         // The caller is an executor too.
-        run_tasks(&self.shared, job, n_tasks);
+        run_tasks(&self.shared, job, n_tasks, &cursor);
         let mut st = self.shared.state.lock().unwrap();
         while st.pending > 0 {
             st = self.shared.job_done.wait(st).unwrap();
@@ -276,9 +282,9 @@ impl Drop for WorkerPool {
 /// Claim and run tasks until the cursor is exhausted. Every claimed index
 /// decrements `pending` exactly once, panic or not, so the caller's
 /// completion wait always terminates.
-fn run_tasks(shared: &PoolShared, job: Job, n_tasks: usize) {
+fn run_tasks(shared: &PoolShared, job: Job, n_tasks: usize, cursor: &AtomicUsize) {
     loop {
-        let i = shared.cursor.fetch_add(1, Ordering::Relaxed);
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
         if i >= n_tasks {
             return;
         }
@@ -299,7 +305,7 @@ fn run_tasks(shared: &PoolShared, job: Job, n_tasks: usize) {
 fn worker_loop(shared: &PoolShared) {
     let mut seen_epoch = 0u64;
     loop {
-        let (job, n_tasks) = {
+        let (job, n_tasks, cursor) = {
             let mut st = shared.state.lock().unwrap();
             loop {
                 if st.shutdown {
@@ -308,13 +314,13 @@ fn worker_loop(shared: &PoolShared) {
                 if st.epoch != seen_epoch {
                     seen_epoch = st.epoch;
                     if let Some(job) = st.job {
-                        break (job, st.n_tasks);
+                        break (job, st.n_tasks, Arc::clone(&st.cursor));
                     }
                 }
                 st = shared.work_ready.wait(st).unwrap();
             }
         };
-        run_tasks(shared, job, n_tasks);
+        run_tasks(shared, job, n_tasks, &cursor);
     }
 }
 
@@ -434,6 +440,35 @@ mod tests {
             });
         }
         assert_eq!(total.load(Ordering::Relaxed), 50 * 45);
+    }
+
+    /// Many tiny jobs back to back, each closing over a buffer of a
+    /// different length. A worker that took one job but claimed an index
+    /// only after the next job was published would either run the new
+    /// job's index with the old, already returned closure (the index goes
+    /// unrun here, or the old closure indexes past its buffer), or drop an
+    /// index past the old job's task count, so `run` waits forever. The
+    /// jobs run on a helper thread so that a stall fails the test.
+    #[test]
+    fn late_worker_never_runs_a_returned_job() {
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = WorkerPool::new(8);
+            for job in 0..20_000usize {
+                let n_tasks = 2 + job % 9;
+                let hits: Vec<AtomicU64> = (0..n_tasks).map(|_| AtomicU64::new(0)).collect();
+                pool.run(n_tasks, &|i| {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                });
+                for (i, h) in hits.iter().enumerate() {
+                    assert_eq!(h.load(Ordering::Relaxed), 1, "job {job}, task {i}");
+                }
+            }
+            done_tx.send(()).unwrap();
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("pool jobs stalled or failed");
     }
 
     #[test]

@@ -9,21 +9,17 @@
 //! carrying `2p` doubles, which is exactly the message growth the paper
 //! measures in Table I / Fig. 4(b).
 //!
-//! # Gradient-driven smoothing
+//! # Smoothing order
 //!
-//! A full smoothing pass ([`smooth_all`]) no longer walks edges one at a
-//! time: each Newton round obtains the all-edge derivative vector via
-//! [`Evaluator::full_gradient`] — one fat collective under `--gradient on`,
-//! the classic per-edge loop under `off`, **bitwise-identical numbers
-//! either way** — and steps every still-moving edge simultaneously
-//! (Jacobi-style), then recomputes the gradient at the updated lengths for
-//! the next round. A round near convergence (the common case: every pass
-//! after the first, and every pass on an already-smoothed region) freezes
-//! all edges at once and ends the pass. That turns the `O(n · rounds)`
-//! collectives per pass into `O(rounds)` — the ≥10x collective-count drop
-//! the `examl-bench gradient --guard` harness pins. [`optimize_branch`]
-//! keeps the classic per-edge Gauss–Seidel loop for single-edge call sites
-//! (SPR candidate scoring).
+//! A full smoothing pass ([`smooth_all`]) is RAxML's Gauss–Seidel sweep:
+//! it walks the edges in [`dfs_edge_order`] and runs [`optimize_branch`]
+//! to convergence on each one before moving on, so every edge's Newton
+//! loop already sees the lengths its neighbours were just given. Because
+//! consecutive edges are adjacent, each `prepare_derivatives` needs only a
+//! short partial traversal (the 4–5 node descriptors of §III-B). Every
+//! Newton iteration is one derivative reduction, under both schemes.
+//! The one-pass full-tree gradient ([`Evaluator::full_gradient`]) is not
+//! on this path: Jacobi rounds of it were measured slower end to end.
 
 use crate::evaluator::{BranchMode, Evaluator};
 use exa_phylo::tree::{EdgeId, BL_MAX, BL_MIN};
@@ -48,7 +44,7 @@ fn newton_step(old: f64, d1: f64, d2: f64) -> f64 {
     }
 }
 
-/// The per-slot convergence test shared by every Newton loop here.
+/// The per-slot Newton convergence test.
 fn step_converged(old: f64, new: f64) -> bool {
     (new - old).abs() < BL_TOL * (1.0 + old.abs())
 }
@@ -56,21 +52,7 @@ fn step_converged(old: f64, new: f64) -> bool {
 /// Optimize the branch length(s) of `edge` in place. Returns the number of
 /// Newton iterations spent (= derivative parallel regions triggered).
 pub fn optimize_branch(eval: &mut dyn Evaluator, edge: EdgeId) -> usize {
-    optimize_branch_seeded(eval, edge, None)
-}
-
-/// [`optimize_branch`] with an optional pre-computed first iteration: when
-/// `seed` carries the `(d1, d2)` pair of this edge at its current lengths
-/// (from [`Evaluator::full_gradient`]), the first Newton step consumes it
-/// instead of triggering a derivative collective, and `prepare_derivatives`
-/// is deferred until a second iteration is actually needed. With a seed the
-/// return value counts only the *additional* derivative rounds, so an edge
-/// that converges on the seeded step reports 0.
-pub fn optimize_branch_seeded(
-    eval: &mut dyn Evaluator,
-    edge: EdgeId,
-    seed: Option<(&[f64], &[f64])>,
-) -> usize {
+    eval.prepare_derivatives(edge);
     let arity = match eval.branch_mode() {
         BranchMode::Joint => 1,
         BranchMode::PerPartition => eval.n_partitions(),
@@ -80,25 +62,16 @@ pub fn optimize_branch_seeded(
         .collect();
     let mut converged = vec![false; arity];
     let mut iterations = 0;
-    let mut seed = seed.map(|(d1, d2)| (d1.to_vec(), d2.to_vec()));
-    let mut prepared = false;
 
     for _ in 0..MAX_NEWTON {
         if converged.iter().all(|&c| c) {
             break;
         }
-        let (d1, d2) = match seed.take() {
-            Some(pair) => pair,
-            None => {
-                if !prepared {
-                    eval.prepare_derivatives(edge);
-                    prepared = true;
-                }
-                iterations += 1;
-                let _span = exa_obs::region(exa_obs::RegionKind::NrIteration);
-                eval.derivatives(&t)
-            }
+        let (d1, d2) = {
+            let _span = exa_obs::region(exa_obs::RegionKind::NrIteration);
+            eval.derivatives(&t)
         };
+        iterations += 1;
         let mut any_moved = false;
         for p in 0..arity {
             if converged[p] {
@@ -150,99 +123,33 @@ pub fn dfs_edge_order(eval: &dyn Evaluator) -> Vec<EdgeId> {
     order
 }
 
-/// One or more full smoothing passes over all edges, each driven by
-/// iterated full-tree gradients (see the module doc). Returns total Newton
-/// steps taken across all edges and rounds.
+/// One or more Gauss–Seidel smoothing passes over all edges in
+/// [`dfs_edge_order`] (see the module doc). Returns total Newton
+/// iterations (= derivative rounds) across all edges and passes.
 pub fn smooth_all(eval: &mut dyn Evaluator, passes: usize) -> usize {
     let mut total = 0;
     for _ in 0..passes {
-        total += smooth_pass(eval);
+        for e in dfs_edge_order(eval) {
+            total += optimize_branch(eval, e);
+        }
     }
+    record_blo_collectives(total as u64);
     total
 }
 
-/// One gradient-driven smoothing pass. Every round computes the all-edge
-/// `(d1, d2)` vector at the *current* lengths and steps each still-moving
-/// edge slot once; slots whose step lands within tolerance freeze for the
-/// rest of the pass. The pass ends when a round moves nothing (or at the
-/// `MAX_NEWTON` round cap). Both gradient modes run this exact code on the
-/// exact same numbers — `--gradient` changes how each round's vector was
-/// *reduced* (one fat collective vs one per edge), never its bits.
-fn smooth_pass(eval: &mut dyn Evaluator) -> usize {
-    let arity = match eval.branch_mode() {
-        BranchMode::Joint => 1,
-        BranchMode::PerPartition => eval.n_partitions(),
-    };
-    let n_edges = eval.tree().n_edges();
-    let mut converged = vec![false; n_edges * arity];
-    // Length each slot had *before its previous step*: a slot whose new
-    // length equals it bitwise is caught in the doubling/halving
-    // safeguard's 2-cycle (the curvature keeps the wrong sign at both
-    // points) and freezes, instead of ping-ponging until the round cap.
-    let mut before_prev = vec![f64::NAN; n_edges * arity];
-    let mut steps = 0;
-    let mut collectives = 0u64;
-    let mut sweeps = 0u64;
-    for _ in 0..MAX_NEWTON {
-        let grad = eval.full_gradient();
-        collectives += grad.collectives;
-        sweeps += u64::from(grad.swept);
-        let mut any_moved = false;
-        for e in 0..n_edges {
-            let mut t: Vec<f64> = (0..arity).map(|p| eval.tree().edge(e).length(p)).collect();
-            let mut changed = false;
-            for (p, tp) in t.iter_mut().enumerate() {
-                let slot = e * arity + p;
-                if converged[slot] {
-                    continue;
-                }
-                let old = *tp;
-                let new = newton_step(old, grad.d1[e][p], grad.d2[e][p]);
-                let cycled = new.to_bits() == before_prev[slot].to_bits();
-                before_prev[slot] = old;
-                if step_converged(old, new) || cycled {
-                    converged[slot] = true;
-                } else {
-                    any_moved = true;
-                }
-                *tp = new;
-                changed = true;
-                steps += 1;
-            }
-            if changed {
-                eval.tree_mut().set_lengths(e, &t);
-            }
-        }
-        if !any_moved {
-            break;
-        }
-    }
-    record_pass_metrics(sweeps, collectives);
-    steps
-}
-
-/// Fold one smoothing pass into the metrics registry: sweeps taken and
-/// collectives spent inside branch-length optimization (the numerator and
-/// denominator of the bench guard's ratio).
-fn record_pass_metrics(sweeps: u64, collectives: u64) {
+/// Fold the derivative rounds of [`smooth_all`] — one reduction each —
+/// into the metrics registry, so `/metrics` shows what smoothing costs.
+fn record_blo_collectives(collectives: u64) {
     if !exa_obs::metrics::enabled() {
         return;
     }
-    let reg = exa_obs::metrics::global();
-    if sweeps > 0 {
-        reg.counter(
-            "exa_gradient_sweeps_total",
-            "One-pass full-tree gradient sweeps driving branch smoothing.",
+    exa_obs::metrics::global()
+        .counter(
+            "exa_blo_collectives_total",
+            "Collectives spent inside branch-length smoothing passes.",
             &[],
         )
-        .add(sweeps);
-    }
-    reg.counter(
-        "exa_blo_collectives_total",
-        "Collectives spent inside branch-length smoothing passes.",
-        &[],
-    )
-    .add(collectives);
+        .add(collectives);
 }
 
 #[cfg(test)]
@@ -361,13 +268,12 @@ mod tests {
 
     /// Scripted evaluator: returns fixed `(d1, d2)` pairs and counts how
     /// many derivative rounds the optimizer actually triggers — the
-    /// instrument for the clamp-at-bound and seeding contracts.
+    /// instrument for the clamp-at-bound contract.
     struct ScriptedEvaluator {
         tree: Tree,
         d1: f64,
         d2: f64,
         derivative_calls: usize,
-        prepare_calls: usize,
     }
 
     impl ScriptedEvaluator {
@@ -377,7 +283,6 @@ mod tests {
                 d1,
                 d2,
                 derivative_calls: 0,
-                prepare_calls: 0,
             }
         }
     }
@@ -410,9 +315,7 @@ mod tests {
         fn last_per_partition(&self) -> &[f64] {
             &[]
         }
-        fn prepare_derivatives(&mut self, _edge: usize) {
-            self.prepare_calls += 1;
-        }
+        fn prepare_derivatives(&mut self, _edge: usize) {}
         fn derivatives(&mut self, _lengths: &[f64]) -> (Vec<f64>, Vec<f64>) {
             self.derivative_calls += 1;
             (vec![self.d1], vec![self.d2])
@@ -463,51 +366,9 @@ mod tests {
         assert_eq!(e.tree().edge(0).length(0), BL_MIN);
     }
 
-    /// A seed whose step converges immediately must cost zero derivative
-    /// rounds and zero sumtable preparations — that is the entire
-    /// collective-count saving of the gradient-seeded pass.
-    #[test]
-    fn converged_seed_costs_no_derivative_rounds() {
-        let mut e = ScriptedEvaluator::new(5.0, 3.0);
-        e.tree_mut().set_length(0, 0, BL_MAX);
-        let iters = optimize_branch_seeded(&mut e, 0, Some((&[5.0], &[3.0])));
-        assert_eq!(iters, 0);
-        assert_eq!(e.derivative_calls, 0);
-        assert_eq!(e.prepare_calls, 0);
-        assert_eq!(e.tree().edge(0).length(0), BL_MAX);
-    }
-
-    /// A seed that keeps the edge moving falls back to refinement: the
-    /// seeded route must land on exactly the lengths the unseeded route
-    /// finds, one derivative round cheaper.
-    #[test]
-    fn seeded_refinement_matches_unseeded_route() {
-        let mut unseeded = make_eval(BranchMode::Joint);
-        let mut seeded = make_eval(BranchMode::Joint);
-        for e in [0usize, 3, 5] {
-            unseeded.tree_mut().set_length(e, 0, 2.0);
-            seeded.tree_mut().set_length(e, 0, 2.0);
-        }
-        for e in [0usize, 3, 5] {
-            let iters_u = optimize_branch(&mut unseeded, e);
-            // Hand the seeded route the same first-iteration derivatives the
-            // unseeded route computes internally.
-            seeded.prepare_derivatives(e);
-            let t0 = seeded.tree().edge(e).length(0);
-            let (d1, d2) = seeded.derivatives(&[t0]);
-            let iters_s = optimize_branch_seeded(&mut seeded, e, Some((&d1, &d2)));
-            assert_eq!(iters_u, iters_s + 1, "seed replaces exactly one round");
-            assert_eq!(
-                unseeded.tree().edge(e).length(0).to_bits(),
-                seeded.tree().edge(e).length(0).to_bits(),
-                "edge {e}: seeded and unseeded routes must agree bitwise"
-            );
-        }
-    }
-
-    /// The gradient-seeded pass must land on the same final lengths
-    /// regardless of gradient mode — `full_gradient`'s two routes produce
-    /// bitwise-identical seeds, and everything after the seed is shared.
+    /// Smoothing must land on the same final lengths regardless of
+    /// gradient mode: the mode only selects how [`Evaluator::full_gradient`]
+    /// reduces, and the per-edge smoothing path never calls it.
     #[test]
     fn smoothing_is_bitwise_invariant_to_gradient_mode() {
         use exa_phylo::GradientMode;

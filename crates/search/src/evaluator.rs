@@ -206,8 +206,8 @@ pub trait Evaluator {
     }
 }
 
-/// The all-edge derivative vector a branch-smoothing pass starts from,
-/// produced by [`Evaluator::full_gradient`]. Entries follow edge ids;
+/// The all-edge derivative vector produced by
+/// [`Evaluator::full_gradient`]. Entries follow edge ids;
 /// each entry has the same arity as [`Evaluator::derivatives`] (1 under
 /// joint mode, one per global partition under `-M`).
 #[derive(Debug, Clone)]
@@ -221,6 +221,23 @@ pub struct FullGradient {
     pub collectives: u64,
     /// True when the one-pass gradient sweep produced it.
     pub swept: bool,
+}
+
+/// Count one full-tree gradient sweep in the metrics registry
+/// (`exa_gradient_sweeps_total`). Every sweep-capable
+/// [`Evaluator::full_gradient`] override calls it, so the counter shows
+/// whether anything — the search included — ran the sweep.
+pub fn record_gradient_sweep() {
+    if !exa_obs::metrics::enabled() {
+        return;
+    }
+    exa_obs::metrics::global()
+        .counter(
+            "exa_gradient_sweeps_total",
+            "One-pass full-tree gradient sweeps computed.",
+            &[],
+        )
+        .inc();
 }
 
 /// The per-edge reference route for [`Evaluator::full_gradient`]: prepare +
@@ -354,9 +371,9 @@ impl SequentialEvaluator {
 
     /// Select the full-tree gradient mode (builder style). There is no
     /// communication to save sequentially, but `On` still collapses a
-    /// smoothing pass's `2(2n-3)` kernel dispatches into one sweep, and it
-    /// keeps the single-rank path exercising the same code the distributed
-    /// schemes negotiate.
+    /// [`Evaluator::full_gradient`] call's `2(2n-3)` kernel dispatches into
+    /// one sweep, and it keeps the single-rank path exercising the same
+    /// code the distributed schemes negotiate.
     pub fn with_gradient(mut self, gradient: GradientMode) -> Self {
         self.gradient = gradient;
         self
@@ -453,6 +470,7 @@ impl Evaluator for SequentialEvaluator {
         self.engine.execute(&d);
         let plan = self.tree.gradient_plan(0);
         let sweep = self.engine.edge_gradient(&plan);
+        record_gradient_sweep();
         let globals = self.engine.global_indices();
         let mut d1 = vec![Vec::new(); plan.n_edges];
         let mut d2 = vec![Vec::new(); plan.n_edges];

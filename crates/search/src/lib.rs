@@ -31,8 +31,8 @@ pub use driver::{
     PreemptSignal, ResumePoint, SearchHooks, SearchResult,
 };
 pub use evaluator::{
-    kernel_fingerprint, per_edge_full_gradient, BranchMode, CommFailurePanic, Evaluator,
-    FullGradient, GlobalState, SearchSnapshot, SequentialEvaluator,
+    kernel_fingerprint, per_edge_full_gradient, record_gradient_sweep, BranchMode,
+    CommFailurePanic, Evaluator, FullGradient, GlobalState, SearchSnapshot, SequentialEvaluator,
 };
 
 use serde::{Deserialize, Serialize};

@@ -53,10 +53,10 @@ options:\n\
                          the lnL trajectory is identical at any count;\n\
                          default auto, negotiated to the world minimum,\n\
                          also via EXAML_THREADS)\n\
-  --gradient G           gradient-driven branch-length optimization:\n\
-                         on | off | auto (on computes all edge derivatives\n\
-                         in one full-tree sweep with a single collective\n\
-                         per smoothing pass; bitwise result-neutral;\n\
+  --gradient G           full-tree gradient route: on | off | auto (on\n\
+                         computes all edge derivatives in one sweep with a\n\
+                         single collective; branch smoothing is per-edge\n\
+                         and does not use it; bitwise result-neutral;\n\
                          default auto, negotiated to the world minimum,\n\
                          also via EXAML_GRADIENT)\n\
   --batch on|off         pack small partitions into cache-sized kernel\n\

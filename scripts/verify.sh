@@ -131,11 +131,12 @@ cmp -s "$tmp/threads_traj_1.txt" "$tmp/threads_traj_nb.txt" \
 cargo run -q --release -p examl-bench --bin batch -- --guard >/dev/null
 echo "threads: trajectories bitwise-equal at --threads 1/2 and --batch on/off; fused guard cleared"
 
-echo "==> gradient BLO (--gradient negotiation, bitwise identity, collective guard)"
-# Gradient-driven smoothing changes only the reduction *shape* of each
-# Newton round (one fat full-tree collective vs one per edge), never its
-# addends: --gradient on and off must replay the same lnL trajectory bit
-# for bit, and the negotiated mode must surface in the health stream.
+echo "==> full-tree gradient (--gradient negotiation, bitwise identity, guard)"
+# Branch smoothing is per-edge Gauss-Seidel under either mode; the mode
+# only selects how Evaluator::full_gradient reduces (one fat collective
+# vs one per edge): --gradient on and off must replay the same lnL
+# trajectory bit for bit, and the negotiated mode must surface in the
+# health stream.
 for g in on off; do
   cargo run -q --release -p exa-serve --bin examl -- \
     --phylip "$tmp/smoke.phy" --ranks 2 --iterations 3 --seed 7 \
@@ -147,9 +148,9 @@ for g in on off; do
 done
 cmp -s "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt" \
   || { echo "lnL trajectory differs between --gradient on and off"; diff "$tmp/grad_traj_on.txt" "$tmp/grad_traj_off.txt"; exit 1; }
-# A mixed gradient world runs different collective *sequences*, so the
-# sentinel must refuse it at the pre-search sync, before the first
-# smoothing collective can desynchronize the world.
+# A mixed gradient world would run different collective *sequences* on
+# any full_gradient call, so the sentinel must refuse it at the
+# pre-search sync.
 set +e
 cargo run -q --release -p exa-serve --bin examl -- \
   --phylip "$tmp/smoke.phy" --ranks 4 --iterations 2 --seed 7 \
@@ -160,11 +161,12 @@ set -e
 [ "$grad_status" -eq 1 ] || { echo "mixed gradient world must exit 1, got $grad_status"; cat "$tmp/grad_mixed.err"; exit 1; }
 grep -q 'replica divergence at collective #0 (fingerprint sync #1)' "$tmp/grad_mixed.err" \
   || { echo "sentinel did not trip at the pre-search sync:"; cat "$tmp/grad_mixed.err"; exit 1; }
-# One fat collective per Newton round instead of one per edge: the
-# 64-taxon bench must measure >= 10x fewer BLO collectives per round with
-# bitwise-identical lnL (exits non-zero below the bar).
+# The 64-taxon bench: the search must run no gradient sweep and end on
+# the same lnL bits under both modes; one full_gradient call on the
+# smoothed tree must give bitwise-identical tables under both routes with
+# >= 10x fewer collectives for the sweep (exits non-zero otherwise).
 cargo run -q --release -p examl-bench --bin gradient -- --guard >/dev/null
-echo "gradient: trajectories bitwise-equal on/off; mixed world refused at sync #1; collective guard cleared"
+echo "gradient: trajectories bitwise-equal on/off; mixed world refused at sync #1; gradient guard cleared"
 
 echo "==> examl checkpoint smoke (atomic generations + heartbeat fields)"
 cargo run -q --release -p exa-serve --bin examl -- \

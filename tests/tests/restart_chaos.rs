@@ -275,9 +275,9 @@ fn resume_is_elastic_across_kernel_and_rank_count() {
 
 #[test]
 fn checkpoint_resumes_across_gradient_modes() {
-    // Gradient BLO is bitwise result-neutral — the full-tree sweep
-    // computes the same Newton seeds the per-edge collectives would — so
-    // the header's gradient field is elastic: a checkpoint committed under
+    // The gradient mode is bitwise result-neutral — branch smoothing is
+    // per-edge under either mode — so the header's gradient field is
+    // elastic: a checkpoint committed under
     // `--gradient on` resumes under `--gradient off` (and vice versa) and
     // must replay the uninterrupted reference bit for bit.
     use exa_phylo::GradientChoice;
